@@ -15,7 +15,9 @@ package index
 // boot bundle, the advanced bundle is a pure function of (boot, stream
 // state): replaying the same log prefix after a crash re-derives a
 // bit-identical artifact, which is what makes the updater's publish
-// loop idempotent.
+// loop idempotent. Grow lays the frozen globals out over the wider
+// dimensions once; FoldInUsers shares those slabs rather than copying
+// them again, so only the new users' θ and λ are allocated past Grow.
 
 import (
 	"fmt"
@@ -55,7 +57,7 @@ func DefaultAdvanceConfig() AdvanceConfig {
 // users/items must extend the boot vocabularies in place (boot names
 // as a prefix, stream arrivals appended), and grid must extend the
 // boot grid to stream.NumIntervals() intervals. The receiver is not
-// mutated.
+// mutated and shares no parameter slab with the result.
 func (b *Bundle) Advance(stream *cuboid.Cuboid, grid dataset.TimeGrid, users, items []string, cfg AdvanceConfig) (*Bundle, error) {
 	if len(users) != stream.NumUsers() || len(items) != stream.NumItems() {
 		return nil, fmt.Errorf("index: advance vocabularies (%d users, %d items) disagree with the stream cuboid (%d × %d)",

@@ -238,7 +238,9 @@ func (tr *trainer) refreshPhiT() {
 
 // accum is one shard's sufficient-statistic set: private φ and θ' slabs
 // plus the shard's slice of the shared user-dimension statistics. The φ
-// slab is item-major (V×K1), mirroring trainer.phiT.
+// slab is item-major (V×K1), mirroring trainer.phiT. A fold-in
+// accumulator (NewFoldAccum) has no φ or θ' slab; the E-step then
+// accumulates only the user-dimension statistics.
 type accum struct {
 	tr     *trainer
 	lo, hi int
@@ -251,14 +253,21 @@ type accum struct {
 
 func (tr *trainer) NumUsers() int { return tr.m.numUsers }
 
-func (tr *trainer) NewAccum(_, lo, hi int) train.Accum {
+func (tr *trainer) NewAccum(shard, lo, hi int) train.Accum {
+	a := tr.NewFoldAccum(shard, lo, hi).(*accum)
+	a.phiT = make([]float64, len(tr.m.phi))
+	a.thetaT = make([]float64, len(tr.m.thetaT))
+	return a
+}
+
+// NewFoldAccum allocates a shard accumulator without global slabs, for
+// fold-in: FoldStep consumes only the user-dimension statistics and ll.
+func (tr *trainer) NewFoldAccum(_, lo, hi int) train.Accum {
 	return &accum{
-		tr:     tr,
-		lo:     lo,
-		hi:     hi,
-		phiT:   make([]float64, len(tr.m.phi)),
-		thetaT: make([]float64, len(tr.m.thetaT)),
-		pz:     make([]float64, tr.m.k1),
+		tr: tr,
+		lo: lo,
+		hi: hi,
+		pz: make([]float64, tr.m.k1),
 	}
 }
 
@@ -300,7 +309,9 @@ func (tr *trainer) EStep(a train.Accum) { tr.emUserRange(a.(*accum)) }
 // scratch) is one contiguous K1-length block, so the whole per-cell
 // working set stays cache-resident. The floating-point operations and
 // their order are exactly those of the pre-CSR loop, which is what
-// keeps trained parameters bit-identical.
+// keeps trained parameters bit-identical. Without global slabs (a
+// fold-in accumulator) the θ statistics get the same sums through the
+// single-destination kernel and the φ and θ' statistics are skipped.
 //
 //tcam:hotpath
 func (tr *trainer) emUserRange(a *accum) {
@@ -310,6 +321,7 @@ func (tr *trainer) emUserRange(a *accum) {
 	ts, vs, scores := data.CSR()
 	phiT := tr.phiT
 	pz := a.pz
+	global := a.phiT != nil
 	var ll float64
 	for u := a.lo; u < a.hi; u++ {
 		lam := m.lambda[u]
@@ -333,9 +345,15 @@ func (tr *trainer) emUserRange(a *accum) {
 			// Accumulate — numerators of Equations (8)–(11).
 			if pu > 0 {
 				scale := w * ps1 / pu
-				train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], scale, pz)
+				if global {
+					train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], scale, pz)
+				} else {
+					train.AddScaled(thetaAcc, scale, pz)
+				}
 			}
-			a.thetaT[t*V+v] += w * (1 - ps1)
+			if global {
+				a.thetaT[t*V+v] += w * (1 - ps1)
+			}
 			lm := w
 			if cfg.LambdaMass != nil {
 				lm = cfg.LambdaMass[i]

@@ -5,9 +5,10 @@ package ttcam
 // frozen parameters and FoldInUsers fits new users' θu/λu by partial
 // EM with every global parameter frozen. The new-interval estimator is
 // the pre-existing FitNewInterval (its fitted rows are the θ't entries
-// Grow appends). Neither method mutates the receiver — each returns an
-// extended copy, so the boot model stays a frozen base the updater can
-// re-derive every snapshot from.
+// Grow appends). Neither method mutates the receiver — Grow returns an
+// extended copy, and FoldInUsers a model that shares the receiver's
+// frozen slabs and owns fresh θ and λ — so the boot model stays a
+// frozen base the updater can re-derive every snapshot from.
 
 import (
 	"fmt"
@@ -35,20 +36,6 @@ type FoldInConfig struct {
 // partial-EM budget.
 func DefaultFoldInConfig() FoldInConfig {
 	return FoldInConfig{Iters: 5, Smoothing: 1e-9}
-}
-
-// clone returns a deep copy of the model.
-func (m *Model) clone() *Model {
-	out := *m
-	out.theta = append([]float64(nil), m.theta...)
-	out.phi = append([]float64(nil), m.phi...)
-	out.thetaTx = append([]float64(nil), m.thetaTx...)
-	out.phiX = append([]float64(nil), m.phiX...)
-	out.lambda = append([]float64(nil), m.lambda...)
-	if m.background != nil {
-		out.background = append([]float64(nil), m.background...)
-	}
-	return &out
 }
 
 // Grow returns a copy of the model widened to numIntervals intervals
@@ -103,15 +90,22 @@ func (m *Model) Grow(numIntervals, numItems int, newContexts [][]float64) (*Mode
 	return out, nil
 }
 
-// FoldInUsers returns a copy of the model extended to data.NumUsers()
-// users. Users [NumUsers(), data.NumUsers()) start from the uniform
-// interest and λ=1/2, then run cfg.Iters rounds of partial EM over
-// their own cells with φ, φ' and θ' frozen — through the same
-// accumulator and shard machinery as batch training, so folding in
-// user u is bit-identical to batch EM restricted to u against the same
-// frozen globals. data's interval/item dimensions must match the model
-// (Grow first when the stream widened them); its cells for
-// already-trained users are ignored.
+// FoldInUsers returns the model extended to data.NumUsers() users.
+// Users [NumUsers(), data.NumUsers()) start from the uniform interest
+// and λ=1/2, then run cfg.Iters rounds of partial EM over their own
+// cells with φ, φ' and θ' frozen — through the same accumulator and
+// shard machinery as batch training, so folding in user u is
+// bit-identical to batch EM restricted to u against the same frozen
+// globals. data's interval/item dimensions must match the model (Grow
+// first when the stream widened them); its cells for already-trained
+// users are ignored.
+//
+// The result shares φ, φ', θ' and the background with the receiver
+// rather than copying them: fold-in never writes a global parameter,
+// and a model is not mutated once built. Only θ and λ are allocated
+// fresh, and only the item-major rows of the items the folded users
+// rated are transposed, so the cost scales with the new users' cells,
+// not with the catalog.
 func (m *Model) FoldInUsers(data *cuboid.Cuboid, cfg FoldInConfig) (*Model, error) {
 	if data.NumIntervals() != m.numIntervals || data.NumItems() != m.numItems {
 		return nil, fmt.Errorf("ttcam: fold-in cuboid is %d intervals × %d items, model has %d × %d",
@@ -121,25 +115,23 @@ func (m *Model) FoldInUsers(data *cuboid.Cuboid, cfg FoldInConfig) (*Model, erro
 	if n < oldN {
 		return nil, fmt.Errorf("ttcam: fold-in cuboid has %d users, model already has %d", n, oldN)
 	}
-	out := m.clone()
+	out := *m
 	out.numUsers = n
-	theta := make([]float64, n*m.k1)
-	copy(theta, out.theta)
-	for i := oldN * m.k1; i < len(theta); i++ {
-		theta[i] = 1 / float64(m.k1)
+	out.theta = make([]float64, n*m.k1)
+	copy(out.theta, m.theta)
+	for i := oldN * m.k1; i < len(out.theta); i++ {
+		out.theta[i] = 1 / float64(m.k1)
 	}
-	out.theta = theta
-	lambda := make([]float64, n)
-	copy(lambda, out.lambda)
+	out.lambda = make([]float64, n)
+	copy(out.lambda, m.lambda)
 	for u := oldN; u < n; u++ {
-		lambda[u] = 0.5
+		out.lambda[u] = 0.5
 	}
-	out.lambda = lambda
 	if n == oldN {
-		return out, nil
+		return &out, nil
 	}
 	tr := &trainer{
-		m:      out,
+		m:      &out,
 		data:   data,
 		cfg:    Config{K1: out.k1, K2: out.k2, MaxIters: 1, Smoothing: cfg.Smoothing, Background: out.backgroundW},
 		theta:  make([]float64, len(out.theta)),
@@ -148,7 +140,7 @@ func (m *Model) FoldInUsers(data *cuboid.Cuboid, cfg FoldInConfig) (*Model, erro
 		phiT:   make([]float64, len(out.phi)),
 		phiXT:  make([]float64, len(out.phiX)),
 	}
-	tr.refreshTransposes()
+	tr.transposeRated(oldN, n)
 	if _, err := train.FoldIn(tr, oldN, n, train.FoldInConfig{
 		Iters:   cfg.Iters,
 		Shards:  cfg.Shards,
@@ -156,7 +148,27 @@ func (m *Model) FoldInUsers(data *cuboid.Cuboid, cfg FoldInConfig) (*Model, erro
 	}); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &out, nil
+}
+
+// transposeRated fills the item-major φ/φ' rows of the items users
+// [lo, hi) rated — the only rows their E-step reads — with the values
+// refreshTransposes would write there. The other rows stay zero.
+func (tr *trainer) transposeRated(lo, hi int) {
+	m := tr.m
+	k1, k2, V := m.k1, m.k2, m.numItems
+	_, vs, _ := tr.data.CSR()
+	clo, _ := tr.data.UserSpan(lo)
+	_, chi := tr.data.UserSpan(hi - 1)
+	for _, v32 := range vs[clo:chi] {
+		v := int(v32)
+		for z := 0; z < k1; z++ {
+			tr.phiT[v*k1+z] = m.phi[z*V+v]
+		}
+		for x := 0; x < k2; x++ {
+			tr.phiXT[v*k2+x] = m.phiX[x*V+v]
+		}
+	}
 }
 
 // FoldStep applies the user-dimension M-step — Equations (8) and (11)
@@ -164,7 +176,7 @@ func (m *Model) FoldInUsers(data *cuboid.Cuboid, cfg FoldInConfig) (*Model, erro
 // returns the range's log-likelihood under the round's starting
 // parameters.
 func (tr *trainer) FoldStep(merged train.Accum, lo, hi int) float64 {
-	a := merged.(*accum) // global slabs stay frozen; only ll is consumed
+	a := merged.(*accum) // a fold-in accumulator: only ll is consumed
 	m, cfg := tr.m, tr.cfg
 	k1 := m.k1
 	copy(m.theta[lo*k1:hi*k1], tr.theta[lo*k1:hi*k1])

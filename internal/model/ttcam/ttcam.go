@@ -259,7 +259,9 @@ func (tr *trainer) refreshTransposes() {
 
 // accum is one shard's sufficient-statistic set: private global slabs
 // plus the shard's slice of the shared user-dimension statistics. The φ
-// and φ' slabs are item-major, mirroring trainer.phiT/phiXT.
+// and φ' slabs are item-major, mirroring trainer.phiT/phiXT. A fold-in
+// accumulator (NewFoldAccum) has no global slabs; the E-step then
+// accumulates only the user-dimension statistics.
 type accum struct {
 	tr     *trainer
 	lo, hi int
@@ -274,16 +276,23 @@ type accum struct {
 
 func (tr *trainer) NumUsers() int { return tr.m.numUsers }
 
-func (tr *trainer) NewAccum(_, lo, hi int) train.Accum {
+func (tr *trainer) NewAccum(shard, lo, hi int) train.Accum {
+	a := tr.NewFoldAccum(shard, lo, hi).(*accum)
+	a.phiT = make([]float64, len(tr.m.phi))
+	a.phiXT = make([]float64, len(tr.m.phiX))
+	a.thetaTx = make([]float64, len(tr.m.thetaTx))
+	return a
+}
+
+// NewFoldAccum allocates a shard accumulator without global slabs, for
+// fold-in: FoldStep consumes only the user-dimension statistics and ll.
+func (tr *trainer) NewFoldAccum(_, lo, hi int) train.Accum {
 	return &accum{
-		tr:      tr,
-		lo:      lo,
-		hi:      hi,
-		phiT:    make([]float64, len(tr.m.phi)),
-		phiXT:   make([]float64, len(tr.m.phiX)),
-		thetaTx: make([]float64, len(tr.m.thetaTx)),
-		pz:      make([]float64, tr.m.k1),
-		px:      make([]float64, tr.m.k2),
+		tr: tr,
+		lo: lo,
+		hi: hi,
+		pz: make([]float64, tr.m.k1),
+		px: make([]float64, tr.m.k2),
 	}
 }
 
@@ -388,6 +397,9 @@ var (
 // block, so the whole per-cell working set stays cache-resident. The
 // floating-point operations and their order are exactly those of the
 // pre-CSR loop, which is what keeps trained parameters bit-identical.
+// Without global slabs (a fold-in accumulator) the θ statistics get the
+// same sums through the single-destination kernel and the φ, φ' and θ'
+// statistics are skipped.
 //
 //tcam:hotpath
 func (tr *trainer) emUserRange(a *accum) {
@@ -400,6 +412,7 @@ func (tr *trainer) emUserRange(a *accum) {
 	bw := m.backgroundW
 	pz := a.pz
 	px := a.px
+	global := a.phiT != nil
 	var ll float64
 	for u := a.lo; u < a.hi; u++ {
 		lam := m.lambda[u]
@@ -439,9 +452,13 @@ func (tr *trainer) emUserRange(a *accum) {
 			// Accumulate numerators of Equations (8)–(9), (11),
 			// (15)–(16).
 			if pu > 0 && ps1 > 0 {
-				train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], w*ps1/pu, pz)
+				if global {
+					train.AddScaledPair(thetaAcc, a.phiT[v*k1:(v+1)*k1], w*ps1/pu, pz)
+				} else {
+					train.AddScaled(thetaAcc, w*ps1/pu, pz)
+				}
 			}
-			if pt > 0 && ps0 > 0 {
+			if global && pt > 0 && ps0 > 0 {
 				train.AddScaledPair(a.thetaTx[t*k2:(t+1)*k2], a.phiXT[v*k2:(v+1)*k2], w*ps0/pt, px)
 			}
 			lm := w

@@ -220,7 +220,9 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // vocabularies are rebuilt off to the side and published in one atomic
 // pointer store, so queries in flight finish on the old snapshot and
 // the next request sees the new one. Retraining therefore never
-// requires downtime.
+// requires downtime. The new index is built from the serving one, which
+// makes a fold-in publish cost what the stream changed; the result is
+// the same index a fresh build gives.
 func (s *Server) Reload(b *index.Bundle) (uint64, error) {
 	if err := b.Validate(); err != nil {
 		return 0, err
@@ -230,7 +232,8 @@ func (s *Server) Reload(b *index.Bundle) (uint64, error) {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	sn := newSnapshot(b, s.snap.Load().version+1, s.itemLo, s.itemHi)
+	cur := s.snap.Load()
+	sn := newSnapshot(b, cur.version+1, s.itemLo, s.itemHi, cur.idx)
 	// Warm the new epoch before it goes live: a request can only name
 	// this version once the store below publishes it, so hot users find
 	// their answers already cached on their first post-publish hit.

@@ -13,10 +13,10 @@
 //	GET  /topics/{z}?n=            top items of an expanded topic
 //	GET  /users/{id}/lambda        the user's learned mixing weight
 //
-// The serving state (bundle, TA index, vocabularies, pooled scratch)
-// lives in an immutable snapshot behind an atomic pointer, so a hot
-// reload swaps everything at once while in-flight requests keep the
-// view they started with. Request handling is wrapped in panic
+// The serving state (bundle, TA index, vocabularies) lives in an
+// immutable snapshot behind an atomic pointer, so a hot reload swaps
+// everything at once while in-flight requests keep the view they
+// started with. Request handling is wrapped in panic
 // recovery and bounded by per-endpoint in-flight limiters; see
 // lifecycle.go and DESIGN.md §9.
 package server
@@ -50,19 +50,20 @@ const maxBatchBody = 8 << 20
 // it once per request; Reload publishes a fresh one atomically, so no
 // request ever sees a half-swapped bundle/index/vocabulary mix.
 type snapshot struct {
-	bundle   *index.Bundle
-	idx      *topk.Index
-	userIdx  map[string]int
-	itemIdx  map[string]int
-	excludes sync.Pool // *excludeSet scratch for /recommend filtering
-	version  uint64    // 1 for the boot bundle, +1 per reload
+	bundle  *index.Bundle
+	idx     *topk.Index
+	userIdx map[string]int
+	itemIdx map[string]int
+	version uint64 // 1 for the boot bundle, +1 per reload
 }
 
 // newSnapshot builds one serving generation. A non-empty item window
 // [lo, hi) builds the TA index over just that slice of the catalog —
 // shard mode — while vocabularies stay global so queries speak global
-// item names; lo == hi == 0 builds the full monolithic index.
-func newSnapshot(b *index.Bundle, version uint64, lo, hi int) *snapshot {
+// item names; lo == hi == 0 builds the full monolithic index. prev, the
+// serving generation's index or nil, only saves work: the index built
+// from it is bit-identical to a fresh one (topk.BuildIndexFrom).
+func newSnapshot(b *index.Bundle, version uint64, lo, hi int, prev *topk.Index) *snapshot {
 	sn := &snapshot{
 		bundle:  b,
 		userIdx: make(map[string]int, len(b.Users)),
@@ -70,10 +71,9 @@ func newSnapshot(b *index.Bundle, version uint64, lo, hi int) *snapshot {
 		version: version,
 	}
 	if lo == 0 && hi == 0 {
-		sn.idx = b.BuildIndex()
-	} else {
-		sn.idx = topk.BuildIndexRange(b.Scorer(), lo, hi)
+		hi = len(b.Items)
 	}
+	sn.idx = topk.BuildIndexFrom(b.Scorer(), lo, hi, prev)
 	for u, name := range b.Users {
 		sn.userIdx[name] = u
 	}
@@ -99,7 +99,7 @@ func New(b *index.Bundle, opts ...Option) (*Server, error) {
 	if err := s.validateWindow(b); err != nil {
 		return nil, err
 	}
-	s.snap.Store(newSnapshot(b, 1, s.itemLo, s.itemHi))
+	s.snap.Store(newSnapshot(b, 1, s.itemLo, s.itemHi, nil))
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
 	s.mux.HandleFunc("/recommend", s.handleRecommend)
@@ -217,7 +217,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var exh rescache.SetHash
 	if raw := q.Get("exclude"); raw != "" {
 		ex := sn.acquireExclude()
-		defer sn.excludes.Put(ex)
+		defer excludeSets.Put(ex)
 		for raw != "" {
 			var id string
 			id, raw, _ = strings.Cut(raw, ",")
@@ -550,12 +550,18 @@ func (e *excludeSet) add(v int) { e.stamp[v] = e.epoch }
 //tcam:hotpath
 func (e *excludeSet) has(v int) bool { return e.stamp[v] == e.epoch }
 
-// acquireExclude takes an empty exclude set from the snapshot's pool;
-// return it with sn.excludes.Put once the query no longer holds it.
-// The pool lives on the snapshot because the scratch is sized to the
-// catalog, which a reload may change.
+// excludeSets recycles exclude sets across requests and generations. It
+// is one process-wide pool, not one per snapshot, for the reason the TA
+// searcher pool is: a pool stays registered with the runtime until the
+// second collection after its last use, so a pool on the snapshot would
+// keep a retired generation's bundle and index alive that long.
+var excludeSets sync.Pool
+
+// acquireExclude takes an empty exclude set sized to the snapshot's
+// catalog, which a reload may change; return it with excludeSets.Put
+// once the query no longer holds it.
 func (sn *snapshot) acquireExclude() *excludeSet {
-	if e, ok := sn.excludes.Get().(*excludeSet); ok {
+	if e, ok := excludeSets.Get().(*excludeSet); ok && len(e.stamp) == len(sn.bundle.Items) {
 		e.epoch++
 		if e.epoch == 0 { // stamp wraparound: reset once per 2^32 uses
 			clear(e.stamp)

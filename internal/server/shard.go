@@ -91,7 +91,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	var exclude topk.Exclude
 	if len(req.Exclude) > 0 {
 		ex := sn.acquireExclude()
-		defer sn.excludes.Put(ex)
+		defer excludeSets.Put(ex)
 		for _, id := range req.Exclude {
 			if v, ok := sn.itemIdx[id]; ok {
 				ex.add(v)

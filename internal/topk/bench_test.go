@@ -90,6 +90,30 @@ func BenchmarkBuildIndex(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexRebuild is one fold-in publish of the index: the
+// BenchmarkBuildIndex model grown by a few zero-weight items (the
+// catalog growth TTCAM's frozen topics see), built fresh and from the
+// previous generation's index.
+func BenchmarkIndexRebuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	f := randomModel(rng, 64, 20000)
+	prev := BuildIndex(f)
+	grown := &fakeTopicModel{queries: f.queries}
+	for _, row := range f.topics {
+		grown.topics = append(grown.topics, append(row[:len(row):len(row)], make([]float64, 8)...))
+	}
+	b.Run("fresh", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			BuildIndex(grown)
+		}
+	})
+	b.Run("from-prev", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			BuildIndexFrom(grown, 0, grown.NumItems(), prev)
+		}
+	})
+}
+
 func BenchmarkQueryBatch(b *testing.B) {
 	f, ix, _ := benchSetup(b, 32, 8192)
 	qs := make([]BatchQuery, 64)

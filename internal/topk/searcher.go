@@ -2,6 +2,7 @@ package topk
 
 import (
 	"fmt"
+	"sync"
 
 	"tcam/internal/model"
 )
@@ -9,9 +10,9 @@ import (
 // Searcher holds the per-query scratch of the extended Threshold
 // Algorithm — topic cursors, an epoch-stamped seen table, the quantized
 // query vector, the list priority queue and the result heap — so
-// steady-state queries allocate nothing. A Searcher is bound to the
-// Index that created it and is NOT safe for concurrent use; concurrent
-// callers take one each from the index pool via AcquireSearcher.
+// steady-state queries allocate nothing. A Searcher serves the Index it
+// was acquired for until Release; it is NOT safe for concurrent use, so
+// concurrent callers take one each via AcquireSearcher.
 //
 // Result slices returned by a Searcher are owned by it and valid only
 // until its next query or Release; callers that retain results must
@@ -28,9 +29,16 @@ type Searcher struct {
 	out     []Result
 }
 
-// NewSearcher returns a fresh reusable searcher bound to the index. Most
+// searchers recycles Searcher scratch across queries and indexes. It is
+// one process-wide pool rather than one per Index: a pool is registered
+// with the runtime until the second collection after its last use, so a
+// pool inside an Index would keep a retired generation's lists and
+// tables alive that long. Pooled searchers hold no index.
+var searchers sync.Pool
+
+// NewSearcher returns a fresh reusable searcher for the index. Most
 // callers should prefer AcquireSearcher, which recycles scratch through
-// the index pool.
+// the pool.
 func (ix *Index) NewSearcher() *Searcher {
 	return &Searcher{
 		ix:      ix,
@@ -41,22 +49,31 @@ func (ix *Index) NewSearcher() *Searcher {
 	}
 }
 
-// AcquireSearcher takes a searcher from the index's pool, creating one
-// when the pool is empty. Pair with Release.
+// AcquireSearcher takes a searcher from the pool and points it at the
+// index, creating one when the pool is empty or the pooled searcher does
+// not fit: it must have the index's topic count and a seen table at
+// least as long as the index's window (in-process shards of one catalog
+// then share searchers). Stamps past the window are never read, and the
+// wraparound clear covers the whole table. Pair with Release.
 //
 //tcam:hotpath
 func (ix *Index) AcquireSearcher() *Searcher {
-	if s, ok := ix.searchers.Get().(*Searcher); ok {
+	if s, ok := searchers.Get().(*Searcher); ok && len(s.pos) == ix.numTopics && len(s.seen) >= ix.numItems {
+		s.ix = ix
 		return s
 	}
 	return ix.NewSearcher()
 }
 
-// Release returns the searcher to its index's pool. The searcher (and
-// any result slice it returned) must not be used afterwards.
+// Release returns the searcher to the pool, dropping its index. The
+// searcher (and any result slice it returned) must not be used
+// afterwards.
 //
 //tcam:hotpath
-func (s *Searcher) Release() { s.ix.searchers.Put(s) }
+func (s *Searcher) Release() {
+	s.ix = nil
+	searchers.Put(s)
+}
 
 // Query answers the temporal top-k query (u, t), writing results into
 // searcher-owned scratch. When ts implements model.QueryWeighter the ϑq

@@ -191,3 +191,50 @@ func TestIndexQueryReturnsOwnedResults(t *testing.T) {
 		}
 	}
 }
+
+// Pooled searchers move between indexes: interleaved queries on indexes
+// of different window sizes and topic counts, each through
+// AcquireSearcher/Release, must all equal BruteForce, and a released
+// searcher must hold no index.
+func TestPooledSearcherAcrossIndexes(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	type built struct {
+		f  *fakeTopicModel
+		ix *Index
+	}
+	var all []built
+	for _, shape := range [][2]int{{6, 90}, {6, 40}, {6, 91}, {3, 90}} {
+		f := randomModel(rng, shape[0], shape[1])
+		all = append(all, built{f, BuildIndex(f)})
+	}
+	f := all[0].f
+	all = append(all, built{f, BuildIndexRange(f, 30, 70)})
+	for round := 0; round < 200; round++ {
+		b := all[rng.Intn(len(all))]
+		k := b.ix.NumTopics()
+		q := randomQuery(rng, k, true)
+		n := rng.Intn(12) + 1
+		s := b.ix.AcquireSearcher()
+		got, _ := s.QueryWeights(q, n, nil)
+		lo, hi := b.ix.ItemRange()
+		want, _ := BruteForce(queryModel{b.f, q}, 0, 0, b.f.NumItems(), nil)
+		var inWindow []Result
+		for _, r := range want {
+			if r.Item >= lo && r.Item < hi && len(inWindow) < n {
+				inWindow = append(inWindow, r)
+			}
+		}
+		if len(got) != len(inWindow) {
+			t.Fatalf("round %d: %d results, want %d", round, len(got), len(inWindow))
+		}
+		for i := range got {
+			if got[i].Item != inWindow[i].Item {
+				t.Fatalf("round %d rank %d: item %d, want %d", round, i, got[i].Item, inWindow[i].Item)
+			}
+		}
+		s.Release()
+		if s.ix != nil {
+			t.Fatal("released searcher still holds its index")
+		}
+	}
+}

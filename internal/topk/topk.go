@@ -13,14 +13,14 @@
 //
 // The serving fast path keeps steady-state queries allocation-free: a
 // Searcher holds all per-query scratch (cursors, an epoch-stamped seen
-// table, both heaps) and is recycled through a per-index sync.Pool, and
-// QueryBatch fans query slices across workers with one pooled Searcher
-// each. All paths return results bit-identical to BruteForce.
+// table, both heaps) and is recycled through one process-wide sync.Pool,
+// and QueryBatch fans query slices across workers with one pooled
+// Searcher each. All paths return results bit-identical to BruteForce.
 package topk
 
 import (
+	"math"
 	"slices"
-	"sync"
 
 	"tcam/internal/model"
 )
@@ -88,8 +88,12 @@ func BruteForce(r model.Recommender, u, t, k int, exclude Exclude) ([]Result, St
 // an exact float64 copy (byItem) answers the confirm step and the
 // threshold bound, and a quantized float32 copy (byItem32) feeds the
 // screening scan that filters candidates at half the memory traffic.
-// Building is O(K·V·logV), parallelized across topics; queries are
-// read-only and safe for concurrent use.
+// A fresh build is O(K·V·logV), parallelized across topics; one built
+// from the previous generation costs O(K·V) plus the sort of the new
+// items. An index is immutable once built: queries are read-only and
+// safe for concurrent use, and it holds no pool or other process-wide
+// registration, so a retired index is garbage as soon as its last
+// query returns.
 type Index struct {
 	numTopics int
 	numItems  int // window size: number of items this index covers
@@ -97,7 +101,6 @@ type Index struct {
 	lists     [][]entry
 	byItem    []float64 // V×K transposed topic weights: ϕ_zv at [v*K+z]
 	byItem32  []float32 // float32 quantization of byItem, same layout
-	searchers sync.Pool // *Searcher scratch, recycled across queries
 
 	// screenScale and screenEps over-approximate the worst-case error of
 	// the float32 screening dot product: for any item,
@@ -118,14 +121,8 @@ type entry struct {
 // BuildIndex precomputes the sorted lists (and the transposed weight
 // table) for every topic of ts. Zero-weight entries are kept: the lists
 // must cover the catalog for the threshold bound to hold as k grows.
-//
-// Work parallelizes in two passes: list sorting fans out one topic per
-// task, and the ϕ transpose fans out over item ranges so each worker
-// writes a contiguous region of byItem (a topic-major split would
-// interleave writes every K entries and thrash cache lines between
-// workers).
 func BuildIndex(ts model.TopicScorer) *Index {
-	return BuildIndexRange(ts, 0, ts.NumItems())
+	return BuildIndexFrom(ts, 0, ts.NumItems(), nil)
 }
 
 // BuildIndexRange builds an index covering only the items in [lo, hi) —
@@ -139,6 +136,30 @@ func BuildIndex(ts model.TopicScorer) *Index {
 // window, not the catalog: lists and both transposed tables hold hi−lo
 // entries per topic.
 func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
+	return BuildIndexFrom(ts, lo, hi, nil)
+}
+
+// BuildIndexFrom is BuildIndexRange that may start from prev, the index
+// built for an earlier generation of the same catalog. The streaming
+// fold-in keeps the topic-item weights frozen and appends new items, so
+// most topics' lists only gain a tail: a topic whose weights over
+// prev's items are bit-equal to what prev's list holds keeps that list,
+// and only the new items [prev.NumItems(), hi−lo) are sorted and merged
+// into it in O(V). Every other topic — a changed one, one prev lacks, or
+// any topic when prev is nil, covers a different window start or more
+// items — is sorted from scratch. The sort order (weight desc, item asc)
+// is a strict total order, so the result is bit-identical to a fresh
+// BuildIndexRange whatever prev was: the index stays a pure function of
+// ts and the window. A list or table with nothing to add is shared with
+// prev rather than copied; prev is never written, as indexes are
+// immutable once built.
+//
+// Work parallelizes in two passes: list building fans out one topic per
+// task, and the ϕ transpose fans out over item ranges so each worker
+// writes a contiguous region of byItem (a topic-major split would
+// interleave writes every K entries and thrash cache lines between
+// workers).
+func BuildIndexFrom(ts model.TopicScorer, lo, hi int, prev *Index) *Index {
 	if lo < 0 || hi < lo || hi > ts.NumItems() {
 		panic("topk: item window out of bounds")
 	}
@@ -148,8 +169,6 @@ func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
 		numItems:  v,
 		itemLo:    lo,
 		lists:     make([][]entry, k),
-		byItem:    make([]float64, v*k),
-		byItem32:  make([]float32, v*k),
 		// 16× the analytic bound on the f32 screening error — relative
 		// term (K+8)·2⁻²⁰ vs the true ≤(K+8)·2⁻²⁴, absolute slack far
 		// above any subnormal underflow — so the screen is sound with
@@ -158,44 +177,129 @@ func BuildIndexRange(ts model.TopicScorer, lo, hi int) *Index {
 		screenScale: 1 + float64(k+8)*0x1p-20,
 		screenEps:   1e-35,
 	}
-	topics := make([][]float64, k)
-	for z := 0; z < k; z++ {
-		topics[z] = ts.TopicItems(z)
-	}
 	// Entries and table rows are indexed by the local item offset within
 	// the window; ascending local order is ascending global order, so
 	// every tie-break below matches the full index.
+	topics := make([][]float64, k)
+	for z := 0; z < k; z++ {
+		topics[z] = ts.TopicItems(z)[lo:hi]
+	}
+	prevV, prevK := 0, 0
+	if prev != nil && prev.itemLo == lo && prev.numItems <= v {
+		prevV, prevK = prev.numItems, min(prev.numTopics, k)
+	}
+	kept := make([]bool, k) // topic z's list extends prev's
 	workers := model.Workers(0)
 	model.ParallelRanges(k, workers, func(_, zlo, zhi int) {
 		for z := zlo; z < zhi; z++ {
-			weights := topics[z]
-			list := make([]entry, v)
-			for item := 0; item < v; item++ {
-				list[item] = entry{item: int32(item), weight: weights[lo+item]}
+			if z < prevK && listHolds(prev.lists[z], topics[z]) {
+				ix.lists[z] = mergeEntries(prev.lists[z], sortedEntries(topics[z], prevV))
+				kept[z] = true
+			} else {
+				ix.lists[z] = sortedEntries(topics[z], 0)
 			}
-			slices.SortFunc(list, func(a, b entry) int {
-				if a.weight > b.weight {
-					return -1
-				}
-				if a.weight < b.weight {
-					return 1
-				}
-				return int(a.item) - int(b.item)
-			})
-			ix.lists[z] = list
 		}
 	})
+
+	// The transposed tables keep prev's rows when the topic layout is
+	// the same: copied rows are patched only in the columns of rebuilt
+	// topics, and only rows of new items are gathered in full.
+	var rebuilt []int
+	for z, ok := range kept {
+		if !ok {
+			rebuilt = append(rebuilt, z)
+		}
+	}
+	copiedV := 0
+	if prevV > 0 && prev.numTopics == k {
+		if prevV == v && len(rebuilt) == 0 {
+			ix.byItem, ix.byItem32 = prev.byItem, prev.byItem32
+			return ix
+		}
+		copiedV = prevV
+	}
+	ix.byItem = make([]float64, v*k)
+	ix.byItem32 = make([]float32, v*k)
 	model.ParallelRanges(v, workers, func(_, vlo, vhi int) {
+		if c := min(vhi, copiedV); vlo < c {
+			copy(ix.byItem[vlo*k:c*k], prev.byItem[vlo*k:c*k])
+			copy(ix.byItem32[vlo*k:c*k], prev.byItem32[vlo*k:c*k])
+		}
 		for item := vlo; item < vhi; item++ {
 			row := ix.byItem[item*k : (item+1)*k]
 			row32 := ix.byItem32[item*k : (item+1)*k]
+			if item < copiedV {
+				for _, z := range rebuilt {
+					row[z] = topics[z][item]
+					row32[z] = float32(topics[z][item])
+				}
+				continue
+			}
 			for z, weights := range topics {
-				row[z] = weights[lo+item]
-				row32[z] = float32(weights[lo+item])
+				row[z] = weights[item]
+				row32[z] = float32(weights[item])
 			}
 		}
 	})
 	return ix
+}
+
+// compareEntries is the list order: weight descending, then item
+// ascending. It is a strict total order over one topic's entries (items
+// are distinct), so any correct sort or merge yields the same list.
+func compareEntries(a, b entry) int {
+	if a.weight > b.weight {
+		return -1
+	}
+	if a.weight < b.weight {
+		return 1
+	}
+	return int(a.item) - int(b.item)
+}
+
+// sortedEntries returns the entries of the local items [from,
+// len(weights)) in list order.
+func sortedEntries(weights []float64, from int) []entry {
+	list := make([]entry, len(weights)-from)
+	for i := range list {
+		item := from + i
+		list[i] = entry{item: int32(item), weight: weights[item]}
+	}
+	slices.SortFunc(list, compareEntries)
+	return list
+}
+
+// listHolds reports whether every entry of list carries exactly the
+// weight weights gives its item. Bits are compared, not values, so a
+// -0/+0 or NaN change counts as a change.
+func listHolds(list []entry, weights []float64) bool {
+	for _, e := range list {
+		if math.Float64bits(weights[e.item]) != math.Float64bits(e.weight) {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeEntries merges two lists already in list order. With nothing to
+// add it returns a unchanged (shared, never written).
+func mergeEntries(a, b []entry) []entry {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]entry, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if compareEntries(b[j], a[i]) < 0 {
+			out = append(out, b[j])
+			j++
+		} else {
+			out = append(out, a[i])
+			i++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // NumTopics returns K, the number of sorted lists.
@@ -241,8 +345,8 @@ func (ix *Index) score32(query []float32, item int) float32 {
 // (only QueryWeights is consulted). The result set and scores match
 // BruteForce exactly (ties broken by ascending item index), but the
 // algorithm stops after examining only as many items as the threshold
-// bound requires. Scratch comes from the index's Searcher pool; the
-// returned slice is freshly allocated and owned by the caller.
+// bound requires. Scratch comes from the Searcher pool; the returned
+// slice is freshly allocated and owned by the caller.
 func (ix *Index) Query(ts model.TopicScorer, u, t, k int, exclude Exclude) ([]Result, Stats) {
 	s := ix.AcquireSearcher()
 	res, st := s.Query(ts, u, t, k, exclude)

@@ -12,10 +12,13 @@ package train
 //
 // The driver below deliberately reuses the exact accumulator/shard
 // machinery of Run: the same shardRanges arithmetic, the same
-// NewAccum/Reset/EStep/Merge cycle in the same ascending merge order,
-// executed by the same worker pool. Fold-in is not a second EM
-// implementation; it is the batch engine pointed at a sub-range with
-// the global M-step replaced by a user-range one.
+// Reset/EStep/Merge cycle in the same ascending merge order, executed
+// by the same worker pool. Fold-in is not a second EM implementation;
+// it is the batch engine pointed at a sub-range with the global M-step
+// replaced by a user-range one. The one difference is the accumulator:
+// a fold-in accumulator carries no global slabs, because FoldStep never
+// reads them, so a round costs what the folded users' cells cost rather
+// than a catalog-sized clear and merge.
 
 import (
 	"errors"
@@ -24,14 +27,16 @@ import (
 	"tcam/internal/model"
 )
 
-// UserFolder is the model-side contract of fold-in. NewAccum and EStep
-// are shared verbatim with Trainable; FoldStep replaces MStep and must
-// update only the user-dimension parameters (θ rows, λ entries) of
-// [lo, hi), leaving every global parameter frozen. It returns the
-// range's data log-likelihood under the parameters the round started
-// from.
+// UserFolder is the model-side contract of fold-in. EStep is shared
+// verbatim with Trainable; NewFoldAccum is NewAccum without the global
+// slabs (the E-step skips global accumulation when they are absent, and
+// accumulates the user-dimension statistics bit-identically); FoldStep
+// replaces MStep and must update only the user-dimension parameters
+// (θ rows, λ entries) of [lo, hi), leaving every global parameter
+// frozen. It returns the range's data log-likelihood under the
+// parameters the round started from.
 type UserFolder interface {
-	NewAccum(shard, lo, hi int) Accum
+	NewFoldAccum(shard, lo, hi int) Accum
 	EStep(a Accum)
 	FoldStep(merged Accum, lo, hi int) float64
 }
@@ -44,8 +49,8 @@ type FoldInConfig struct {
 	Iters int
 	// Shards fixes the summation grouping of the E-step over the folded
 	// range (0 means DefaultShards). It does not affect θ/λ results —
-	// their statistics live in per-user rows — only the discarded
-	// global-slab sums and the reported log-likelihood.
+	// their statistics live in per-user rows — only the reported
+	// log-likelihood.
 	Shards int
 	// Workers caps E-step goroutines; non-positive means GOMAXPROCS.
 	Workers int
@@ -66,7 +71,7 @@ func FoldIn(f UserFolder, lo, hi int, cfg FoldInConfig) ([]float64, error) {
 	ranges := shardRanges(hi-lo, cfg.Shards)
 	accums := make([]Accum, len(ranges))
 	for i, r := range ranges {
-		accums[i] = f.NewAccum(i, lo+r.Lo, lo+r.Hi)
+		accums[i] = f.NewFoldAccum(i, lo+r.Lo, lo+r.Hi)
 	}
 	workers := model.Workers(cfg.Workers)
 	if workers > len(accums) {

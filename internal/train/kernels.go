@@ -17,8 +17,9 @@ package train
 // gob fixtures, so neither kernel may reassociate floating-point sums.
 // DotInto keeps a single accumulator in ascending index order — the
 // exact operation sequence of the scalar loop it replaced — and
-// AddScaledPair is purely elementwise (no cross-iteration dependence at
-// all), so unrolling cannot change either one's results.
+// AddScaledPair and AddScaled are purely elementwise (no
+// cross-iteration dependence at all), so unrolling cannot change any
+// one's results.
 
 // DotInto computes dst[i] = a[i]·b[i] and returns Σ dst[i], accumulated
 // in strictly ascending index order. All three slices must have equal
@@ -90,5 +91,35 @@ func AddScaledPair(dst1, dst2 []float64, scale float64, src []float64) {
 		c := scale * x
 		dst1[j] += c
 		dst2[j] += c
+	}
+}
+
+// AddScaled adds scale·src[i] into dst[i]: AddScaledPair with one
+// destination, for E-steps that accumulate no global statistics
+// (fold-in). Each product is formed exactly as AddScaledPair forms it,
+// so dst receives bit-identical sums. dst and src must have equal
+// length.
+//
+//tcam:hotpath
+func AddScaled(dst []float64, scale float64, src []float64) {
+	if len(dst) != len(src) {
+		panic("train: AddScaled length mismatch")
+	}
+	for len(src) >= 4 && len(dst) >= 4 {
+		c0 := scale * src[0]
+		dst[0] += c0
+		c1 := scale * src[1]
+		dst[1] += c1
+		c2 := scale * src[2]
+		dst[2] += c2
+		c3 := scale * src[3]
+		dst[3] += c3
+		src = src[4:]
+		dst = dst[4:]
+	}
+	dst = dst[:len(src)]
+	for j, x := range src {
+		c := scale * x
+		dst[j] += c
 	}
 }

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -71,6 +72,36 @@ func TestAddScaledPairMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAddScaledMatchesPair: the fold-in E-step's one-destination
+// kernel must leave exactly the sums AddScaledPair leaves in its first
+// destination, and stay allocation-free.
+func TestAddScaledMatchesPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 63, 100} {
+		src := randSlice(rng, n)
+		scale := rng.NormFloat64()
+		got := randSlice(rng, n)
+		want, other := append([]float64(nil), got...), make([]float64, n)
+		AddScaled(got, scale, src)
+		AddScaledPair(want, other, scale, src)
+		for i := 0; i < n; i++ {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d i=%d: got %v, pair kernel %v", n, i, got[i], want[i])
+			}
+		}
+	}
+	dst, src := make([]float64, 64), randSlice(rng, 64)
+	if n := testing.AllocsPerRun(100, func() { AddScaled(dst, 0.5, src) }); n != 0 {
+		t.Fatalf("AddScaled allocates %v times per run, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch did not panic")
+		}
+	}()
+	AddScaled(make([]float64, 3), 1, make([]float64, 4))
 }
 
 func TestDotIntoLengthMismatchPanics(t *testing.T) {

@@ -14,7 +14,9 @@
 #      must still run;
 #   5. the result cache's hit path must report 0 allocs/op — a cached
 #      answer that allocates is a regression of the DESIGN.md §16
-#      contract.
+#      contract;
+#   6. the index rebuild benchmark (fresh vs built from the previous
+#      generation) must still run.
 #
 # Usage: scripts/bench_smoke.sh
 set -eu
@@ -54,4 +56,5 @@ go test -run '^$' -bench 'BenchmarkAppend$|BenchmarkReplay$' -benchtime 1x \
     ./internal/ingest/ >/dev/null
 go test -run '^$' -bench 'BenchmarkUpdaterStep$|BenchmarkSnapshotPublish$' -benchtime 1x \
     ./internal/server/ >/dev/null
+go test -run '^$' -bench 'BenchmarkIndexRebuild$' -benchtime 1x ./internal/topk/ >/dev/null
 echo "bench_smoke.sh: OK"
